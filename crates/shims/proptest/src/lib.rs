@@ -4,7 +4,8 @@
 //! use: the [`Strategy`] trait with [`StrategyExt::prop_map`], range /
 //! tuple / [`Just`] / [`prop_oneof!`] / `collection::vec` / `any::<T>()`
 //! / `bool::ANY` strategies, the [`proptest!`] macro (with
-//! `#![proptest_config(..)]`), and the `prop_assert*` macros.
+//! `#![proptest_config(..)]`), the `prop_assert*` macros and
+//! [`prop_assume!`].
 //!
 //! Differences from the real crate: the generator is a fixed-seed
 //! SplitMix64 (fully deterministic across runs), and there is **no
@@ -51,16 +52,35 @@ pub mod test_runner {
 
 use test_runner::TestRng;
 
-/// A failed property assertion (no shrinking: message only).
+/// A failed property assertion (no shrinking: message only), or an
+/// input rejected by [`prop_assume!`].
 #[derive(Debug)]
 pub struct TestCaseError {
     msg: String,
+    reject: bool,
 }
 
 impl TestCaseError {
     /// Builds a failure from a message.
     pub fn fail(msg: impl Into<String>) -> Self {
-        TestCaseError { msg: msg.into() }
+        TestCaseError {
+            msg: msg.into(),
+            reject: false,
+        }
+    }
+
+    /// Rejects the current input: it is discarded and another one
+    /// drawn, without counting as a case.
+    pub fn reject(msg: impl Into<String>) -> Self {
+        TestCaseError {
+            msg: msg.into(),
+            reject: true,
+        }
+    }
+
+    /// Whether this is a rejection rather than a failure.
+    pub fn is_reject(&self) -> bool {
+        self.reject
     }
 }
 
@@ -73,9 +93,13 @@ impl fmt::Display for TestCaseError {
 /// Per-`proptest!` block configuration.
 #[derive(Clone, Debug)]
 pub struct ProptestConfig {
-    /// Number of generated cases per property.
+    /// Number of accepted cases per property.
     pub cases: u32,
 }
+
+/// Rejected inputs ([`prop_assume!`]) tolerated before a property
+/// fails (the real crate's default).
+pub const MAX_GLOBAL_REJECTS: u32 = 1024;
 
 impl Default for ProptestConfig {
     fn default() -> Self {
@@ -84,7 +108,7 @@ impl Default for ProptestConfig {
 }
 
 impl ProptestConfig {
-    /// A configuration running `cases` generated inputs.
+    /// A configuration running `cases` accepted inputs.
     pub fn with_cases(cases: u32) -> Self {
         ProptestConfig { cases }
     }
@@ -290,8 +314,8 @@ pub mod prop {
 /// Everything a property test needs in scope.
 pub mod prelude {
     pub use super::{
-        any, prop, prop_assert, prop_assert_eq, prop_assert_ne, prop_oneof, proptest, Just,
-        ProptestConfig, Strategy, StrategyExt, TestCaseError,
+        any, prop, prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest,
+        Just, ProptestConfig, Strategy, StrategyExt, TestCaseError,
     };
 }
 
@@ -312,6 +336,20 @@ macro_rules! prop_assert {
     ($cond:expr, $($fmt:tt)+) => {
         if !$cond {
             return ::core::result::Result::Err($crate::TestCaseError::fail(format!($($fmt)+)));
+        }
+    };
+}
+
+/// Rejects the current input unless `cond` holds: the case is drawn
+/// again instead of failing.
+#[macro_export]
+macro_rules! prop_assume {
+    ($cond:expr) => {
+        if !$cond {
+            return ::core::result::Result::Err($crate::TestCaseError::reject(concat!(
+                "assumption failed: ",
+                stringify!($cond)
+            )));
         }
     };
 }
@@ -377,14 +415,26 @@ macro_rules! __proptest_impl {
         fn $name() {
             let config: $crate::ProptestConfig = $config;
             let mut rng = $crate::test_runner::TestRng::deterministic();
-            for case in 0..config.cases {
+            let (mut case, mut rejects) = (0, 0);
+            while case < config.cases {
                 $(let $arg = $crate::Strategy::generate(&$strategy, &mut rng);)+
                 let result = (|| -> ::core::result::Result<(), $crate::TestCaseError> {
                     $body
                     ::core::result::Result::Ok(())
                 })();
-                if let ::core::result::Result::Err(e) = result {
-                    panic!("property {} failed at case {case}: {e}", stringify!($name));
+                match result {
+                    ::core::result::Result::Ok(()) => case += 1,
+                    ::core::result::Result::Err(e) if e.is_reject() => {
+                        rejects += 1;
+                        assert!(
+                            rejects <= $crate::MAX_GLOBAL_REJECTS,
+                            "property {} rejected {rejects} inputs: {e}",
+                            stringify!($name)
+                        );
+                    }
+                    ::core::result::Result::Err(e) => {
+                        panic!("property {} failed at case {case}: {e}", stringify!($name));
+                    }
                 }
             }
         }
@@ -411,6 +461,12 @@ mod tests {
         }
 
         #[test]
+        fn assumptions_redraw_inputs(x in 0u64..10) {
+            prop_assume!(x % 2 == 0);
+            prop_assert_eq!(x % 2, 0u64);
+        }
+
+        #[test]
         fn oneof_and_just(v in prop_oneof![Just(1u8), Just(2u8), Just(3u8)]) {
             prop_assert_ne!(v, 0u8);
             prop_assert!(v <= 3u8, "v={v}");
@@ -421,6 +477,7 @@ mod tests {
     fn generated_tests_run() {
         ranges_stay_in_bounds();
         tuples_and_map();
+        assumptions_redraw_inputs();
         oneof_and_just();
     }
 
@@ -433,5 +490,16 @@ mod tests {
             }
         }
         always_fails();
+    }
+
+    #[test]
+    #[should_panic(expected = "rejected 1025 inputs")]
+    fn endless_rejections_fail() {
+        proptest! {
+            fn never_holds(x in 0u64..2) {
+                prop_assume!(x > 5);
+            }
+        }
+        never_holds();
     }
 }

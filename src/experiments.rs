@@ -11,9 +11,9 @@
 //! single core, sharded homogeneous multicore, heterogeneous tiles with
 //! weighted shards, per-core kernel sets (communication workloads),
 //! clustered machines — plus verification against the reference
-//! interpreter and host-time profiling. The legacy `run_kernel_*`
-//! functions survive as thin `#[deprecated]` wrappers, pinned
-//! bit-identical to the builder by a regression test.
+//! interpreter and host-time profiling. Every shape goes through one
+//! run path: normalise to per-tile configurations and kernels, compile
+//! each with [`compile_for_tile`], then build the machine.
 //!
 //! **Sweeps.** Every sweep driver takes a [`Parallelism`] knob:
 //! `Serial` runs the independent simulation points sequentially,
@@ -180,19 +180,24 @@ impl RunOutcome {
 ///
 /// Machine shapes, by builder calls:
 ///
-/// | calls | machine |
-/// |---|---|
-/// | `new(k)` | one [`Machine`] |
-/// | `new(k).cores(n)` | `k` sharded over an n-core [`MultiMachine`] (note: `cores(1)` still builds the 1-core *multicore* machine — shared-L3 port arbitration included — exactly like the legacy `run_kernel_multi(k, 1, ..)`) |
-/// | `new(k).hetero(cfgs)` | weighted shards on per-tile configurations |
-/// | `many(&kernels)` | one kernel **per core** (communication workloads) |
-/// | `...clustered(topo)` | epoch-synchronized clusters |
+/// | calls | machine | `verified`/`profiled` |
+/// |---|---|---|
+/// | `new(k)` | one [`Machine`] | yes |
+/// | `new(k).cores(n)` | `k` sharded over an n-core [`MultiMachine`] (`cores(1)` still builds the 1-core *multicore* machine, shared-L3 port arbitration included) | yes |
+/// | `new(k).hetero(cfgs)` / `.weights(w)` | weighted shards on per-tile configurations | yes |
+/// | `many(&kernels)` | one kernel **per core** (communication workloads) | yes |
+/// | `new(k).clustered(c)` / `many(&kernels).clustered(c)` | epoch-synchronized clusters | no |
 ///
-/// Configuration: [`RunSpec::mode`]/[`RunSpec::track`] adjust the
-/// default machine; [`RunSpec::config`] replaces it wholesale
-/// (`track` still applies afterwards). [`RunSpec::profiled`] attributes
-/// host time; [`RunSpec::verified`] checks the final memory image
-/// against the reference interpreter (single-machine shapes only).
+/// Combinations a shape would silently ignore panic instead:
+/// `hetero`/`weights` with `clustered`, `cores` with `hetero`,
+/// `weights`, `many` or `clustered`, `weights` with `many`, and
+/// `verified`/`profiled` with `clustered`.
+///
+/// Configuration: [`RunSpec::mode`] selects the default machine;
+/// [`RunSpec::config`] replaces it wholesale and [`RunSpec::hetero`]
+/// gives one per tile. [`RunSpec::track`] applies on top of all three.
+/// Every shard is compiled against its own tile's LM budget
+/// ([`compile_for_tile`]).
 #[derive(Clone)]
 pub struct RunSpec<'a> {
     single: Option<&'a Kernel>,
@@ -255,8 +260,9 @@ impl<'a> RunSpec<'a> {
         self
     }
 
-    /// Enables/disables the runtime coherence tracker (applies on top
-    /// of [`RunSpec::config`] too).
+    /// Enables/disables the runtime coherence tracker on every tile
+    /// (applies on top of [`RunSpec::config`] and [`RunSpec::hetero`]
+    /// too).
     pub fn track(mut self, track: bool) -> Self {
         self.track = Some(track);
         self
@@ -296,351 +302,212 @@ impl<'a> RunSpec<'a> {
     }
 
     /// Attributes host time to scheduler phases
-    /// ([`hsim_core::HostProfile`]); simulated results are
-    /// bit-identical to the unprofiled run. Not supported on clustered
-    /// shapes.
+    /// ([`hsim_core::HostProfile`], summed over the tiles of a
+    /// multicore machine); simulated results are bit-identical to the
+    /// unprofiled run. Every single-machine and flat multicore shape;
+    /// clustered runs panic, since [`run_clusters`] hands back no
+    /// per-thread profiles.
     pub fn profiled(mut self) -> Self {
         self.profiled = true;
         self
     }
 
-    /// Also checks the final memory image against the reference
-    /// interpreter ([`RunOutcome::verify_mismatches`]). Single-machine
-    /// shapes only.
+    /// Also checks every tile's final memory image against the
+    /// reference interpreter's run of that tile's kernel or shard
+    /// ([`RunOutcome::verify_mismatches`], summed over tiles). Every
+    /// single-machine and flat multicore shape; clustered runs panic,
+    /// since [`run_clusters`] hands back no machines.
     pub fn verified(mut self) -> Self {
         self.verified = true;
         self
     }
 
-    fn effective_cfg(&self) -> MachineConfig {
-        let mut cfg = self
-            .cfg
-            .clone()
-            .unwrap_or_else(|| MachineConfig::for_mode(self.mode));
-        if let Some(track) = self.track {
-            cfg.track_coherence = track;
+    /// Normalises the spec into one configuration and one kernel per
+    /// tile (cluster-major on clustered shapes) plus the machine shape.
+    /// Every builder combination the shapes would silently drop is
+    /// rejected here.
+    fn normalise(&self) -> Result<(Vec<MachineConfig>, Vec<Kernel>, Shape), ShardError> {
+        let reshaped = self.hetero.is_some() || self.weights.is_some();
+        for (bad, why) in [
+            (
+                self.cluster.is_some() && reshaped,
+                "hetero/weights do not combine with clustered: a clustered machine takes one configuration",
+            ),
+            (
+                self.cores.is_some()
+                    && (reshaped || self.many.is_some() || self.cluster.is_some()),
+                "cores(n) does not combine with hetero, weights, many or clustered: they fix the core count",
+            ),
+            (
+                self.many.is_some() && self.weights.is_some(),
+                "weights shard a single kernel; RunSpec::many runs one kernel per core",
+            ),
+            (
+                self.cluster.is_some() && (self.profiled || self.verified),
+                "profiled/verified clustered runs are not supported: run_clusters hands back no machines or per-thread profiles",
+            ),
+        ] {
+            assert!(!bad, "RunSpec: {why}");
         }
-        cfg
+        let (shards, shape) = match (self.single, self.many, &self.cluster) {
+            // One kernel per core, grouped cluster-major. Comm sets are
+            // built with cluster-local pairs, so there is nothing to
+            // replicate across clusters: another cluster's comm arrays
+            // are declared (layout agreement) but never touched.
+            (_, Some(kernels), Some(cluster)) => {
+                assert_eq!(
+                    kernels.len(),
+                    cluster.topology.total_cores(),
+                    "one kernel per core of the clustered machine"
+                );
+                (kernels.to_vec(), Shape::Clustered(0))
+            }
+            (Some(kernel), None, Some(cluster)) => {
+                let topo = cluster.topology;
+                let slices = kernel.shard_clustered(topo.clusters, topo.cores_per_cluster)?;
+                let fallbacks = cross_cluster_fallbacks(kernel, topo.clusters);
+                (slices.concat(), Shape::Clustered(fallbacks))
+            }
+            (_, Some(kernels), None) => (kernels.to_vec(), Shape::Flat),
+            (Some(kernel), None, None) if reshaped => {
+                let even = || vec![1; self.hetero.as_ref().map_or(0, Vec::len)];
+                let weights = self.weights.clone().unwrap_or_else(even);
+                (kernel.shard_weighted(&weights)?, Shape::Flat)
+            }
+            (Some(kernel), None, None) => match self.cores {
+                Some(n) => (kernel.shard(n)?, Shape::Flat),
+                None => (vec![kernel.clone()], Shape::Single),
+            },
+            (None, None, _) => unreachable!("RunSpec always holds kernels"),
+        };
+        let mut cfgs = match (&self.hetero, &self.cfg) {
+            (Some(cfgs), _) => cfgs.clone(),
+            (None, Some(cfg)) => vec![cfg.clone(); shards.len()],
+            (None, None) => vec![MachineConfig::for_mode(self.mode); shards.len()],
+        };
+        if let Some(track) = self.track {
+            cfgs.iter_mut().for_each(|c| c.track_coherence = track);
+        }
+        assert_eq!(
+            cfgs.len(),
+            shards.len(),
+            "one configuration (and one weight) per tile"
+        );
+        Ok((cfgs, shards, shape))
     }
 
     /// Builds the machine the spec describes, runs it, and returns the
     /// outcome. Sharding failures (including diverging comm-array
     /// layouts) surface as [`MultiRunError::Shard`].
+    ///
+    /// Every shape takes the same path: [`RunSpec`] normalises to one
+    /// configuration and one kernel per tile, compiles each shard with
+    /// [`compile_for_tile`], and only then picks the machine — a plain
+    /// [`Machine`], a flat [`MultiMachine`], or [`run_clusters`].
     pub fn run(self) -> Result<RunOutcome, MultiRunError> {
-        let cfg = self.effective_cfg();
+        let (mut cfgs, shards, shape) = self.normalise()?;
+        let compiled: Vec<(CompiledKernel, Kernel)> = shards
+            .into_iter()
+            .zip(&cfgs)
+            .map(|(s, c)| (compile_for_tile(&s, c), s))
+            .collect();
         let mut out = RunOutcome {
             single: None,
             multi: None,
             clusters: None,
-            profile: None,
+            profile: self.profiled.then(hsim_core::HostProfile::default),
             verify_mismatches: None,
         };
-        if self.cluster.is_some() {
-            assert!(
-                !self.profiled && !self.verified,
-                "profiled/verified clustered runs are not supported"
-            );
-            out.clusters = Some(self.run_clustered_shape(&cfg)?);
-            return Ok(out);
-        }
-        if let Some(kernels) = self.many {
-            assert!(
-                self.weights.is_none(),
-                "weights shard a single kernel; RunSpec::many runs one kernel per core"
-            );
-            assert!(!self.verified, "verification covers single-machine shapes");
-            let cfgs = self
-                .hetero
-                .clone()
-                .unwrap_or_else(|| vec![cfg.clone(); kernels.len()]);
-            assert_eq!(cfgs.len(), kernels.len(), "one configuration per kernel");
-            let compiled: Vec<(CompiledKernel, Kernel)> = kernels
-                .iter()
-                .zip(&cfgs)
-                .map(|(k, c)| (compile_for_tile(k, c), k.clone()))
-                .collect();
-            let mut m = MultiMachine::try_for_kernels_hetero(cfgs, &compiled)?;
-            out.profile = run_multi(&mut m, self.profiled)?;
-            let cks: Vec<_> = compiled.into_iter().map(|(ck, _)| ck).collect();
-            out.multi = Some(MultiRunReport::collect(&m, &cks));
-            return Ok(out);
-        }
-        let kernel = self.single.expect("RunSpec always holds kernels");
-        if self.hetero.is_some() || self.weights.is_some() {
-            assert!(!self.verified, "verification covers single-machine shapes");
-            let cfgs = self
-                .hetero
-                .clone()
-                .unwrap_or_else(|| vec![cfg.clone(); self.weights.as_ref().unwrap().len()]);
-            let weights = self.weights.clone().unwrap_or_else(|| vec![1; cfgs.len()]);
-            assert_eq!(cfgs.len(), weights.len(), "one weight per tile");
-            let shards = kernel.shard_weighted(&weights)?;
-            let compiled: Vec<(CompiledKernel, Kernel)> = shards
-                .into_iter()
-                .zip(&cfgs)
-                .map(|(s, c)| {
-                    let ck = compile_for_tile(&s, c);
-                    (ck, s)
-                })
-                .collect();
-            let mut m = MultiMachine::try_for_kernels_hetero(cfgs, &compiled)?;
-            out.profile = run_multi(&mut m, self.profiled)?;
-            let cks: Vec<_> = compiled.into_iter().map(|(ck, _)| ck).collect();
-            out.multi = Some(MultiRunReport::collect(&m, &cks));
-            return Ok(out);
-        }
-        if let Some(n) = self.cores {
-            assert!(!self.verified, "verification covers single-machine shapes");
-            let shards = kernel.shard(n)?;
-            let compiled: Vec<_> = shards
-                .iter()
-                .map(|s| (compile(s, cfg.mode.codegen()), s.clone()))
-                .collect();
-            let mut m = MultiMachine::try_for_kernels_hetero(vec![cfg; n], &compiled)?;
-            out.profile = run_multi(&mut m, self.profiled)?;
-            let cks: Vec<_> = compiled.into_iter().map(|(ck, _)| ck).collect();
-            out.multi = Some(MultiRunReport::collect(&m, &cks));
-            return Ok(out);
-        }
-        // Single machine.
-        let ck = compile(kernel, cfg.mode.codegen());
-        let mut m = Machine::for_kernel(cfg, &ck, kernel);
-        if self.profiled {
-            let mut prof = hsim_core::HostProfile::default();
-            m.run_profiled(&mut prof).map_err(MultiRunError::Sim)?;
-            out.profile = Some(prof);
-        } else {
-            m.run().map_err(MultiRunError::Sim)?;
-        }
-        let report = RunReport::collect(&m, &ck);
-        if self.verified {
-            let want = interpret(kernel).expect("kernel must interpret");
-            let mut mismatches = 0;
-            for (id, expect) in want.iter().enumerate() {
-                let got = m.read_array(&ck, kernel, id);
-                mismatches += got.iter().zip(expect).filter(|(g, w)| g != w).count();
-            }
-            out.verify_mismatches = Some(mismatches);
-        }
-        out.single = Some(report);
-        Ok(out)
-    }
-
-    fn run_clustered_shape(&self, cfg: &MachineConfig) -> Result<ClusterRunReport, MultiRunError> {
-        let cluster = self.cluster.as_ref().expect("clustered shape");
-        let topo = cluster.topology;
-        let (shards, fallbacks): (Vec<Vec<(CompiledKernel, Kernel)>>, u64) = match self.many {
-            None => {
-                let kernel = self.single.expect("RunSpec always holds kernels");
-                let sliced = kernel.shard_clustered(topo.clusters, topo.cores_per_cluster)?;
-                let shards = sliced
-                    .into_iter()
-                    .map(|superslice| {
-                        superslice
-                            .into_iter()
-                            .map(|s| (compile(&s, cfg.mode.codegen()), s))
-                            .collect()
-                    })
+        let tiles = match shape {
+            Shape::Clustered(fallbacks) => {
+                let cluster = self.cluster.as_ref().expect("clustered shape");
+                let groups: Vec<Vec<_>> = compiled
+                    .chunks(cluster.topology.cores_per_cluster)
+                    .map(<[_]>::to_vec)
                     .collect();
-                (shards, cross_cluster_fallbacks(kernel, topo.clusters))
+                out.clusters = Some(run_clusters(&cfgs[0], cluster, &groups, fallbacks)?);
+                return Ok(out);
             }
-            Some(kernels) => {
-                // One kernel per core, grouped cluster-major. Comm sets
-                // are built with cluster-local pairs, so there is
-                // nothing to replicate across clusters: another
-                // cluster's comm arrays are declared (layout agreement)
-                // but never touched.
-                assert_eq!(
-                    kernels.len(),
-                    topo.clusters * topo.cores_per_cluster,
-                    "one kernel per core of the clustered machine"
-                );
-                let shards = kernels
-                    .chunks(topo.cores_per_cluster)
-                    .map(|chunk| {
-                        chunk
-                            .iter()
-                            .map(|k| (compile_for_tile(k, cfg), k.clone()))
-                            .collect()
-                    })
-                    .collect();
-                (shards, 0)
+            Shape::Single => {
+                let (ck, kernel) = &compiled[0];
+                let mut m = Machine::for_kernel(cfgs.pop().expect("one tile"), ck, kernel);
+                match out.profile.as_mut() {
+                    Some(prof) => m.run_profiled(prof)?,
+                    None => m.run()?,
+                }
+                out.single = Some(RunReport::collect(&m, ck));
+                vec![m]
+            }
+            Shape::Flat => {
+                let mut mm = MultiMachine::try_for_kernels_hetero(cfgs, &compiled)?;
+                match out.profile.as_mut() {
+                    Some(prof) => mm.run_profiled(prof)?,
+                    None => mm.run()?,
+                }
+                let cks: Vec<_> = compiled.iter().map(|(ck, _)| ck.clone()).collect();
+                out.multi = Some(MultiRunReport::collect(&mm, &cks));
+                mm.tiles
             }
         };
-        Ok(run_clusters(cfg, cluster, &shards, fallbacks)?)
+        if self.verified {
+            out.verify_mismatches = Some(mismatches(&tiles, &compiled));
+        }
+        Ok(out)
     }
 }
 
-/// Advances a built multicore machine to completion, profiled or not.
-fn run_multi(
-    m: &mut MultiMachine,
-    profiled: bool,
-) -> Result<Option<hsim_core::HostProfile>, MultiRunError> {
-    if profiled {
-        let mut prof = hsim_core::HostProfile::default();
-        m.run_profiled(&mut prof).map_err(MultiRunError::Sim)?;
-        Ok(Some(prof))
-    } else {
-        m.run().map_err(MultiRunError::Sim)?;
-        Ok(None)
+/// The machine a normalised [`RunSpec`] runs on.
+enum Shape {
+    /// One plain [`Machine`].
+    Single,
+    /// One flat [`MultiMachine`] (1-core included, for `cores(1)`).
+    Flat,
+    /// [`run_clusters`], with the cross-cluster replication fallbacks
+    /// the sharding implies.
+    Clustered(u64),
+}
+
+/// Array elements of each tile's final memory image that differ from
+/// the reference interpreter's run of that tile's kernel.
+fn mismatches(tiles: &[Machine], compiled: &[(CompiledKernel, Kernel)]) -> usize {
+    let mut n = 0;
+    for (m, (ck, kernel)) in tiles.iter().zip(compiled) {
+        let want = interpret(kernel).expect("kernel must interpret");
+        for (id, expect) in want.iter().enumerate() {
+            let got = m.read_array(ck, kernel, id);
+            n += got.iter().zip(expect).filter(|(g, w)| g != w).count();
+        }
+    }
+    n
+}
+
+/// Runs a single-machine spec, which can only fail in simulation.
+fn run_single(spec: RunSpec) -> Result<RunReport, SimError> {
+    match spec.run() {
+        Ok(out) => Ok(out.into_single()),
+        Err(MultiRunError::Sim(e)) => Err(e),
+        Err(other) => unreachable!("a single-machine run can only fail in simulation: {other}"),
     }
 }
 
-/// Unwraps the only error a non-sharded, non-clustered run can hit.
-fn expect_sim(e: MultiRunError) -> SimError {
-    match e {
-        MultiRunError::Sim(e) => e,
-        other => unreachable!("this run can only fail in simulation: {other}"),
+/// Runs a flat multicore spec; `Ok(None)` when the kernel does not
+/// shard to it (indirect indexing, or a weight starving a shard).
+fn run_flat(spec: RunSpec) -> Result<Option<MultiRunReport>, SimError> {
+    match spec.run() {
+        Ok(out) => Ok(Some(out.into_multi())),
+        Err(MultiRunError::Shard(_)) => Ok(None),
+        Err(MultiRunError::Sim(e)) => Err(e),
+        Err(MultiRunError::Cluster(_)) => {
+            unreachable!("flat multicore runs produce no cluster errors")
+        }
     }
 }
 
-/// Compiles `kernel` for `mode`, runs it, and reports.
-#[deprecated(note = "use RunSpec::new(kernel).mode(mode).track(track).run()")]
-pub fn run_kernel(kernel: &Kernel, mode: SysMode, track: bool) -> Result<RunReport, SimError> {
-    RunSpec::new(kernel)
-        .mode(mode)
-        .track(track)
-        .run()
-        .map(RunOutcome::into_single)
-        .map_err(expect_sim)
-}
-
-/// The configurable sibling of [`run_kernel`]: compiles `kernel` for
-/// `cfg.mode` and runs it on a machine built from `cfg`.
-#[deprecated(note = "use RunSpec::new(kernel).config(cfg).run()")]
-pub fn run_kernel_with(kernel: &Kernel, cfg: MachineConfig) -> Result<RunReport, SimError> {
-    RunSpec::new(kernel)
-        .config(cfg)
-        .run()
-        .map(RunOutcome::into_single)
-        .map_err(expect_sim)
-}
-
-/// Runs `kernel` in `mode` and also checks the final memory image
-/// against the reference interpreter. Returns the report and the number
-/// of mismatching array elements.
-#[deprecated(note = "use RunSpec::new(kernel).mode(mode).track(track).verified().run()")]
-pub fn run_kernel_verified(
-    kernel: &Kernel,
-    mode: SysMode,
-    track: bool,
-) -> Result<(RunReport, usize), SimError> {
-    let out = RunSpec::new(kernel)
-        .mode(mode)
-        .track(track)
-        .verified()
-        .run()
-        .map_err(expect_sim)?;
-    let mismatches = out.verify_mismatches.expect("verified run");
-    Ok((out.into_single(), mismatches))
-}
-
-/// Shards `kernel` across `n_cores` simulated cores and runs them as one
-/// lock-step machine on a shared L3/DRAM backside (see
-/// [`MultiMachine`]).
-#[deprecated(note = "use RunSpec::new(kernel).cores(n).mode(mode).track(track).run()")]
-pub fn run_kernel_multi(
-    kernel: &Kernel,
-    n_cores: usize,
-    mode: SysMode,
-    track: bool,
-) -> Result<MultiRunReport, MultiRunError> {
-    RunSpec::new(kernel)
-        .cores(n_cores)
-        .mode(mode)
-        .track(track)
-        .run()
-        .map(RunOutcome::into_multi)
-}
-
-/// The configurable sibling of [`run_kernel_multi`]: shards `kernel`
-/// across `n_cores` tiles built from `cfg` (compiling for `cfg.mode`).
-#[deprecated(note = "use RunSpec::new(kernel).cores(n).config(cfg).run()")]
-pub fn run_kernel_multi_with(
-    kernel: &Kernel,
-    n_cores: usize,
-    cfg: MachineConfig,
-) -> Result<MultiRunReport, MultiRunError> {
-    RunSpec::new(kernel)
-        .cores(n_cores)
-        .config(cfg)
-        .run()
-        .map(RunOutcome::into_multi)
-}
-
-/// [`run_kernel_with`] with host-time attribution (see
-/// [`RunSpec::profiled`]). The simulated results are bit-identical to
-/// the unprofiled run.
-#[deprecated(note = "use RunSpec::new(kernel).config(cfg).profiled().run()")]
-pub fn run_kernel_profiled(
-    kernel: &Kernel,
-    cfg: MachineConfig,
-) -> Result<(RunReport, hsim_core::HostProfile), SimError> {
-    let out = RunSpec::new(kernel)
-        .config(cfg)
-        .profiled()
-        .run()
-        .map_err(expect_sim)?;
-    let prof = out.profile.expect("profiled run");
-    Ok((out.into_single(), prof))
-}
-
-/// [`run_kernel_multi_with`] with host-time attribution; phases are
-/// accumulated across all tiles of the multicore scheduler.
-#[deprecated(note = "use RunSpec::new(kernel).cores(n).config(cfg).profiled().run()")]
-pub fn run_kernel_multi_profiled(
-    kernel: &Kernel,
-    n_cores: usize,
-    cfg: MachineConfig,
-) -> Result<(MultiRunReport, hsim_core::HostProfile), MultiRunError> {
-    let out = RunSpec::new(kernel)
-        .cores(n_cores)
-        .config(cfg)
-        .profiled()
-        .run()?;
-    let prof = out.profile.expect("profiled run");
-    Ok((out.into_multi(), prof))
-}
-
-/// Shards `kernel` two-level across a clustered machine and runs it
-/// with the epoch-synchronized cluster driver (see
-/// [`RunSpec::clustered`]).
-#[deprecated(note = "use RunSpec::new(kernel).clustered(cluster).config(cfg).run()")]
-pub fn run_kernel_clustered(
-    kernel: &Kernel,
-    cluster: &ClusterConfig,
-    cfg: MachineConfig,
-) -> Result<ClusterRunReport, MultiRunError> {
-    RunSpec::new(kernel)
-        .clustered(cluster)
-        .config(cfg)
-        .run()
-        .map(RunOutcome::into_clusters)
-}
-
-/// The heterogeneous sibling of [`run_kernel_multi_with`]: shards
-/// `kernel` across `cfgs.len()` tiles, tile `i` built from `cfgs[i]`
-/// with a share of the iterations proportional to `weights[i]`.
-#[deprecated(note = "use RunSpec::new(kernel).hetero(cfgs).weights(weights).run()")]
-pub fn run_kernel_multi_hetero(
-    kernel: &Kernel,
-    cfgs: &[MachineConfig],
-    weights: &[u64],
-) -> Result<MultiRunReport, MultiRunError> {
-    assert_eq!(cfgs.len(), weights.len(), "one weight per tile");
-    RunSpec::new(kernel)
-        .hetero(cfgs.to_vec())
-        .weights(weights)
-        .run()
-        .map(RunOutcome::into_multi)
-}
-
-/// Compiles one shard for one tile of a heterogeneous machine: for the
-/// tile's `SysMode`, against the tile's own LM budget when it has a
-/// local memory (`compile_with_lm`), plainly otherwise. The single
-/// compile policy shared by every heterogeneous and per-core-kernel
-/// machine [`RunSpec`] builds — change it here and every such machine
-/// follows.
+/// Compiles one shard for one tile: for the tile's `SysMode`, against
+/// the tile's own LM budget when it has a local memory
+/// (`compile_with_lm`), plainly otherwise. The single compile policy
+/// of every machine [`RunSpec`] builds — change it here and every
+/// shape follows.
 pub fn compile_for_tile(shard: &Kernel, cfg: &MachineConfig) -> CompiledKernel {
     match cfg.mem.lm.as_ref() {
         Some(lm) => compile_with_lm(shard, cfg.mode.codegen(), lm.size_bytes),
@@ -735,10 +602,7 @@ fn fig7_point(n: u64, mode: MicroMode, pct: u32, base: &RunReport) -> Result<Fig
         guarded_pct: pct,
         n,
     });
-    let r = RunSpec::new(&k)
-        .run()
-        .map(RunOutcome::into_single)
-        .map_err(expect_sim)?;
+    let r = run_single(RunSpec::new(&k))?;
     let base_work = base.phase(hsim_isa::Phase::Work).max(1) as f64;
     Ok(Fig7Point {
         mode,
@@ -755,10 +619,7 @@ fn fig7_baseline(n: u64) -> Result<RunReport, SimError> {
         guarded_pct: 0,
         n,
     });
-    RunSpec::new(&base_kernel)
-        .run()
-        .map(RunOutcome::into_single)
-        .map_err(expect_sim)
+    run_single(RunSpec::new(&base_kernel))
 }
 
 /// Figure 7: microbenchmark overhead as the share of guarded references
@@ -793,13 +654,7 @@ pub struct Fig8Row {
 
 /// Runs one benchmark on the coherent and oracle machines.
 fn fig8_row(k: &Kernel) -> Result<Fig8Row, SimError> {
-    let run = |mode: SysMode| {
-        RunSpec::new(k)
-            .mode(mode)
-            .run()
-            .map(RunOutcome::into_single)
-            .map_err(expect_sim)
-    };
+    let run = |mode: SysMode| run_single(RunSpec::new(k).mode(mode));
     let coherent = run(SysMode::HybridCoherent)?;
     let oracle = run(SysMode::HybridOracle)?;
     Ok(Fig8Row {
@@ -842,13 +697,7 @@ pub struct ComparisonRow {
 
 /// Runs one benchmark on the hybrid-coherent and cache-based machines.
 fn comparison_row(k: &Kernel) -> Result<ComparisonRow, SimError> {
-    let run = |mode: SysMode| {
-        RunSpec::new(k)
-            .mode(mode)
-            .run()
-            .map(RunOutcome::into_single)
-            .map_err(expect_sim)
-    };
+    let run = |mode: SysMode| run_single(RunSpec::new(k).mode(mode));
     let hybrid = run(SysMode::HybridCoherent)?;
     let cache = run(SysMode::CacheBased)?;
     let denom = cache.cycles.max(1) as f64;
@@ -917,25 +766,13 @@ fn backside_point(
 ) -> Result<Option<BacksideSweepRow>, SimError> {
     let cfg = MachineConfig::for_mode(mode);
     let (per_core, makespan) = if cores == 1 {
-        let r = RunSpec::new(kernel)
-            .config(cfg)
-            .run()
-            .map(RunOutcome::into_single)
-            .map_err(expect_sim)?;
+        let r = run_single(RunSpec::new(kernel).config(cfg))?;
         let makespan = r.cycles;
         (vec![r], makespan)
     } else {
-        match RunSpec::new(kernel).cores(cores).config(cfg).run() {
-            Ok(out) => {
-                let m = out.into_multi();
-                let makespan = m.makespan;
-                (m.per_core, makespan)
-            }
-            Err(MultiRunError::Shard(_)) => return Ok(None),
-            Err(MultiRunError::Sim(e)) => return Err(e),
-            Err(MultiRunError::Cluster(_)) => {
-                unreachable!("flat multicore runs produce no cluster errors")
-            }
+        match run_flat(RunSpec::new(kernel).cores(cores).config(cfg))? {
+            Some(m) => (m.per_core, m.makespan),
+            None => return Ok(None),
         }
     };
     let sum = |f: fn(&RunReport) -> u64| per_core.iter().map(f).sum::<u64>();
@@ -1022,16 +859,7 @@ fn scaling_rows_for(
     core_counts: &[usize],
     cfg: &MachineConfig,
 ) -> Result<Vec<ScalingRow>, SimError> {
-    let run = |cores: usize| -> Result<Option<MultiRunReport>, SimError> {
-        match RunSpec::new(kernel).cores(cores).config(cfg.clone()).run() {
-            Ok(out) => Ok(Some(out.into_multi())),
-            Err(MultiRunError::Shard(_)) => Ok(None),
-            Err(MultiRunError::Sim(e)) => Err(e),
-            Err(MultiRunError::Cluster(_)) => {
-                unreachable!("flat multicore runs produce no cluster errors")
-            }
-        }
-    };
+    let run = |cores: usize| run_flat(RunSpec::new(kernel).cores(cores).config(cfg.clone()));
     let Some(base) = run(1)? else {
         return Ok(Vec::new());
     };
@@ -1379,18 +1207,8 @@ fn hetero_point(
     cfgs: &[MachineConfig],
     weights: &[u64],
 ) -> Result<Option<HeteroSweepRow>, SimError> {
-    let m = match RunSpec::new(kernel)
-        .hetero(cfgs.to_vec())
-        .weights(weights)
-        .run()
-        .map(RunOutcome::into_multi)
-    {
-        Ok(m) => m,
-        Err(MultiRunError::Shard(_)) => return Ok(None),
-        Err(MultiRunError::Sim(e)) => return Err(e),
-        Err(MultiRunError::Cluster(_)) => {
-            unreachable!("flat multicore runs produce no cluster errors")
-        }
+    let Some(m) = run_flat(RunSpec::new(kernel).hetero(cfgs.to_vec()).weights(weights))? else {
+        return Ok(None);
     };
     let default_lm = hsim_mem::LmConfig::default().size_bytes;
     Ok(Some(HeteroSweepRow {

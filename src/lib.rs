@@ -54,7 +54,7 @@
 //! | [`workloads`] | Table 2 microbenchmark, six NAS-signature kernels, communication workloads (`workloads::comm`) |
 //! | [`machine`] | the assembled systems — hybrid coherent / hybrid oracle / cache-based — as single-core [`Machine`]s or N-core [`MultiMachine`]s sharing one backside, homogeneous or with per-tile configurations |
 //! | [`cluster`] | hierarchical clusters: per-cluster backside slices (own L3 + DRAM channel), epoch-synchronized host threads, serial oracle ([`run_clusters`], [`ClusterTopology`]) |
-//! | [`experiments`] | [`RunSpec`] (the one way to run kernels on any machine shape), sweep drivers regenerating every table and figure (serial or host-parallel via [`Parallelism`]), the communication sweep and the open-loop request-serving driver |
+//! | [`experiments`] | [`RunSpec`] (the one run path for every machine shape, with final-image verification against the reference interpreter on single and flat multicore machines), sweep drivers regenerating every table and figure (serial or host-parallel via [`Parallelism`]), the communication sweep and the open-loop request-serving driver |
 //!
 //! ## Multicore model
 //!
@@ -132,12 +132,6 @@ pub use experiments::{
     scaling_sweep, BacksideSweepRow, CoherenceSweepRow, CommSweepRow, HeteroSweepRow,
     MultiRunError, Parallelism, ProtocolSweepRow, RunOutcome, RunSpec, ScalingRow,
 };
-#[allow(deprecated)]
-pub use experiments::{
-    run_kernel, run_kernel_clustered, run_kernel_multi, run_kernel_multi_hetero,
-    run_kernel_multi_profiled, run_kernel_multi_with, run_kernel_profiled, run_kernel_verified,
-    run_kernel_with,
-};
 pub use machine::{Machine, MachineConfig, MultiMachine, SysMode, World};
 pub use metrics::{
     activity, LatencyHistogram, MultiRunReport, RequestServingReport, RunReport, NOMINAL_CLOCK_HZ,
@@ -153,12 +147,6 @@ pub mod prelude {
         hetero_sweep, protocol_sweep, request_serving, request_serving_sweep, scaling_sweep,
         BacksideSweepRow, CoherenceSweepRow, CommSweepRow, HeteroSweepRow, MultiRunError,
         Parallelism, ProtocolSweepRow, RunOutcome, RunSpec, ScalingRow,
-    };
-    #[allow(deprecated)]
-    pub use crate::experiments::{
-        run_kernel, run_kernel_clustered, run_kernel_multi, run_kernel_multi_hetero,
-        run_kernel_multi_profiled, run_kernel_multi_with, run_kernel_profiled, run_kernel_verified,
-        run_kernel_with,
     };
     pub use crate::machine::{Machine, MachineConfig, MultiMachine, SysMode};
     pub use crate::metrics::{

@@ -219,3 +219,39 @@ fn tiles_disagreeing_on_the_backside_are_rejected() {
     cfgs[1].mem.l3_geometry.banks = 1; // one chip cannot have two L3 shapes
     let _ = run_hetero_machine(&kernel, &cfgs, &[1, 1]);
 }
+
+/// A configured LM budget reaches the compiler on homogeneous shapes
+/// too: `RunSpec::new(k).config(cfg)` with an 8 KiB LM runs exactly the
+/// code `compile_with_lm(k, mode, 8192)` emits, not the architectural
+/// 32 KiB default.
+#[test]
+fn configured_lm_budget_shapes_the_compiled_code() {
+    let kernel = nas::cg(Scale::Test);
+    let mode = CodegenMode::HybridCoherent;
+    let mut cfg = MachineConfig::for_mode(SysMode::HybridCoherent);
+    cfg.mem.lm.as_mut().unwrap().size_bytes = 8192;
+    let small = compile_with_lm(&kernel, mode, 8192);
+    assert_ne!(
+        small.program.insts,
+        compile(&kernel, mode).program.insts,
+        "the test kernel must compile differently at 8 KiB and 32 KiB"
+    );
+    let mut m = Machine::for_kernel(cfg.clone(), &small, &kernel);
+    m.run().unwrap();
+    let want = RunReport::collect(&m, &small);
+    let got = RunSpec::new(&kernel)
+        .config(cfg)
+        .run()
+        .unwrap()
+        .into_single();
+    assert_eq!(format!("{got:?}"), format!("{want:?}"));
+}
+
+#[test]
+#[should_panic(expected = "hetero/weights do not combine with clustered")]
+fn hetero_clustered_specs_are_rejected() {
+    let kernel = nas::cg(Scale::Test);
+    let cfgs = vec![MachineConfig::for_mode(SysMode::HybridCoherent); 4];
+    let cluster = ClusterConfig::new(ClusterTopology::new(2, 2));
+    let _ = RunSpec::new(&kernel).hetero(cfgs).clustered(&cluster).run();
+}

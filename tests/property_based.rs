@@ -136,6 +136,41 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The multicore oracle: on an evenly sharded homogeneous chip and
+    /// on a weighted hybrid + cache-based chip, under every inter-core
+    /// protocol, every tile's final memory image is what the reference
+    /// interpreter computes for its shard, with zero coherence
+    /// violations — the per-tile protocol composes with the inter-core
+    /// one without changing any answer.
+    #[test]
+    fn multicore_runs_match_interpreter(
+        kernel in arb_kernel(),
+        cores in 2usize..5,
+        weights in (1u64..4, 1u64..4),
+    ) {
+        prop_assume!(kernel.shard(cores).is_ok());
+        prop_assume!(kernel.shard_weighted(&[weights.0, weights.1]).is_ok());
+        for cm in CoherenceMode::ALL {
+            let cfg = |mode| MachineConfig::for_mode(mode).with_coherence(cm);
+            let shapes = [
+                ("sharded", RunSpec::new(&kernel).cores(cores).config(cfg(SysMode::HybridCoherent))),
+                ("mixed", RunSpec::new(&kernel)
+                    .hetero(vec![cfg(SysMode::HybridCoherent), cfg(SysMode::CacheBased)])
+                    .weights(&[weights.0, weights.1])),
+            ];
+            for (shape, spec) in shapes {
+                let out = spec.verified().track(true).run().unwrap();
+                prop_assert_eq!(out.verify_mismatches, Some(0), "{} memory diverged under {}", shape, cm.name());
+                let violations = out.into_multi().total_violations();
+                prop_assert_eq!(violations, 0, "{} violations under {}", shape, cm.name());
+            }
+        }
+    }
+}
+
 mod shard_props {
     use super::*;
 
